@@ -6,7 +6,7 @@ produces the same factors (the property the task-graph tests assert); the
 right-looking sequential order is built in as the reference.
 
 Pivoting bookkeeping: ``Factor(k)`` swaps rows inside its candidate panel
-and records the renaming ``pivoted_rows[p] → sub_rows[p]`` of global row
+and records the renaming ``sub_rows[order[p]] → sub_rows[p]`` of global row
 ids. ``Update(k, j)`` *applies* that renaming to column ``j`` before its
 TRSM/GEMM — the deferred-pivot discipline of S+ that makes the 1-D
 distributed factorization possible, and the very reason Theorem 4's
@@ -25,7 +25,7 @@ sequence and agree to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -39,11 +39,10 @@ from repro.numeric.kernels import (
 )
 from repro.numeric.solve_dispatch import resolve_impl as resolve_solve_impl
 from repro.numeric.triangular import lower_unit_solve_csc, upper_solve_csc
-from repro.sparse.coo import COOBuilder
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import BlockPattern
 from repro.taskgraph.tasks import Task, enumerate_tasks
-from repro.util.errors import SchedulingError
+from repro.util.errors import PatternError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (supersolve)
     from repro.analysis.sanitizer import AccessSanitizer
@@ -81,22 +80,52 @@ class LazyStats:
         return self.flops_saved / denom if denom else 0.0
 
 
-@dataclass
 class FactorResult:
-    """Factors ``P A = L U`` in scalar CSC form.
+    """Factors ``P A = L U``, stored once, in supernodal panel form.
 
     ``orig_at[i]`` is the original row of ``A`` living at pivoted position
     ``i``, i.e. ``(PA)[i, :] = A[orig_at[i], :]``.
 
-    ``blocks`` optionally carries the same factors in supernodal panel
-    form (:class:`repro.numeric.supersolve.BlockFactors`), produced by
-    ``extract(retain_blocks=True)`` and consumed by the block solve path.
+    ``blocks`` carries the factors as panels
+    (:class:`repro.numeric.supersolve.BlockFactors`) when
+    ``extract(retain_blocks=True)`` kept them; the block solve path reads
+    only these. The scalar CSC factors ``l_factor``/``u_factor`` are
+    assembled from the panels on first access and cached — the reference
+    solves, :meth:`solve_transpose`, :meth:`slogdet` and condition
+    estimation trigger it. ``retain_blocks=False`` assembles them eagerly
+    and keeps no panels.
     """
 
-    l_factor: CSCMatrix
-    u_factor: CSCMatrix
-    orig_at: np.ndarray
-    blocks: "BlockFactors | None" = None
+    def __init__(
+        self,
+        orig_at: np.ndarray,
+        blocks: "BlockFactors | None" = None,
+        *,
+        drop_tol: float = 0.0,
+        csc: "tuple[CSCMatrix, CSCMatrix] | None" = None,
+    ) -> None:
+        if blocks is None and csc is None:
+            raise ValueError("FactorResult needs block factors or scalar factors")
+        self.orig_at = orig_at
+        self.blocks = blocks
+        self._drop_tol = drop_tol
+        self._csc = csc
+
+    def _scalar(self) -> "tuple[CSCMatrix, CSCMatrix]":
+        if self._csc is None:
+            assert self.blocks is not None
+            self._csc = self.blocks.scalar_factors(self._drop_tol)
+        return self._csc
+
+    @property
+    def l_factor(self) -> CSCMatrix:
+        """Unit-lower ``L`` in scalar CSC form (assembled on first access)."""
+        return self._scalar()[0]
+
+    @property
+    def u_factor(self) -> CSCMatrix:
+        """Upper ``U`` in scalar CSC form (assembled on first access)."""
+        return self._scalar()[1]
 
     def solve(self, b: np.ndarray, *, impl: "str | None" = None) -> np.ndarray:
         """Solve ``A x = b`` via ``L U x = P b`` (vector or multi-RHS).
@@ -221,7 +250,7 @@ class LUFactorization:
         self.n = a.n_cols
         self.orig_at = np.arange(self.n, dtype=np.int64)
         self.sub_rows: dict[int, np.ndarray] = {}
-        self.pivoted_rows: dict[int, np.ndarray] = {}
+        self.pivot_order: dict[int, np.ndarray] = {}
         self.done: set[Task] = set()
         self.check_dependencies = check_dependencies
         self.lazy_stats = LazyStats()
@@ -288,7 +317,7 @@ class LUFactorization:
         subs = self.data.sub_rows(k)
         pivoted = subs[order]
         self.sub_rows[k] = subs
-        self.pivoted_rows[k] = pivoted
+        self.pivot_order[k] = order
         changed = pivoted != subs
         if np.any(changed):
             moved = self.orig_at[pivoted[changed]].copy()
@@ -322,62 +351,91 @@ class LUFactorization:
     def _update(self, k: int, j: int) -> None:
         if self.check_dependencies and Task("F", k, k) not in self.done:
             raise SchedulingError(f"U({k},{j}) ran before F({k})")
-        self._apply_update(
-            j,
-            k,
-            self.sub_rows[k],
-            self.pivoted_rows[k],
-            self.data.sub_panel(k),
-        )
+        self._apply_update(j, k, self.pivot_order[k], self.data.sub_panel(k))
 
     def _apply_update(
         self,
         j: int,
         k: int,
-        subs: np.ndarray,
-        pivoted: np.ndarray,
+        order: np.ndarray,
         m: np.ndarray,
     ) -> None:
         """Update column ``j`` using block column ``k``'s factored panel.
 
-        The panel may be local (shared-memory execution) or a received copy
-        (message-passing execution) — the math is identical.
+        ``order`` is ``F(k)``'s local pivot order and ``m`` its factored
+        candidate panel. Both may be local (shared-memory execution) or
+        received copies (message-passing execution) — the math is
+        identical.
+        """
+        if self.sanitizer is not None:
+            self.sanitizer.record_read(k, self.data.sub_rows(k))
+        step = self._rename_and_trsm(k, j, order, m)
+        if step is None:
+            return
+        panel_j, rel, u_kj = step
+        w = self.data.width(k)
+        w_j = panel_j.shape[1]
+
+        # 3. GEMM: push the update into the rows below block k that column
+        #    j materializes. Padded rows (all-zero multipliers) are skipped:
+        #    they contribute nothing, and — critically for the threaded
+        #    executor — writing their zero deltas would race with concurrent
+        #    independent-subtree updates that own those rows for real.
+        if rel.size == w:
+            self.lazy_stats.note_gemm_rows(0, 0, w, w_j)
+            return
+        l_below = m[w:, :]
+        active = np.any(l_below != 0.0, axis=1)
+        n_active = int(active.sum())
+        self.lazy_stats.note_gemm_rows(int(active.size), n_active, w, w_j)
+        if n_active:
+            self._gemm(k, j, panel_j, rel[w:], l_below, active, u_kj, w)
+
+    def _rename_and_trsm(
+        self, k: int, j: int, order: np.ndarray, m: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray] | None":
+        """Phases 1-2 of update ``(k -> j)``: apply ``F(k)``'s renames to
+        column ``j``, then the TRSM finalizing U block ``(k, j)``.
+
+        Returns ``(panel_j, relative rows of k in j, U_kj)``, or ``None``
+        when the LazyS+ shortcut skipped the update (already accounted).
         """
         w = self.data.width(k)
         panel_j = self.data.panels[j]
         if panel_j is None:
             raise SchedulingError(
-                f"U({k},{j}) ran on a process that does not own column {j}"
+                f"update ({k}->{j}) ran on a process that does not own column {j}"
             )
+        rel = self._relative_rows(k, j)
         san = self.sanitizer
+        subs = self.data.sub_rows(k) if san is not None else None
         if san is not None:
             from repro.analysis.sanitizer import pivot_region
 
-            # ``subs``/``pivoted`` are the published pivot data of block
-            # k — local bookkeeping or the shared arena slot alike.
+            # ``order`` is the published pivot data of block k — local
+            # bookkeeping or the shared arena slot alike.
             san.record_read(pivot_region(k), subs)
-            san.record_read(k, subs)
 
         # 1. Apply F(k)'s row renaming to column j (gather, then scatter —
-        #    safe under permutation cycles). Ids absent from column j carry
+        #    safe under permutation cycles): the row at candidate position
+        #    order[p] moves to position p. The precomputed relative rows
+        #    give both ends in panel j; ids absent from column j (-1) carry
         #    exact zeros, so dropping/injecting them is a no-op.
-        changed = pivoted != subs
-        if np.any(changed):
-            old_ids = pivoted[changed]
-            new_ids = subs[changed]
-            old_pos, old_present = self.data.positions(j, old_ids)
-            new_pos, new_present = self.data.positions(j, new_ids)
-            vals = np.zeros((old_ids.size, panel_j.shape[1]), dtype=np.float64)
-            if np.any(old_present):
-                vals[old_present] = panel_j[old_pos[old_present]]
-            if np.any(new_present):
-                panel_j[new_pos[new_present]] = vals[new_present]
+        moved = np.flatnonzero(order != np.arange(order.size))
+        if moved.size:
+            old_pos = rel[order[moved]]
+            new_pos = rel[moved]
+            old_present = old_pos >= 0
+            new_present = new_pos >= 0
+            vals = np.zeros((moved.size, panel_j.shape[1]), dtype=np.float64)
+            vals[old_present] = panel_j[old_pos[old_present]]
+            panel_j[new_pos[new_present]] = vals[new_present]
             if san is not None:
-                san.record_read(j, old_ids[old_present])
-                san.record_write(j, new_ids[new_present])
+                san.record_read(j, subs[order[moved]][old_present])
+                san.record_write(j, subs[moved][new_present])
             if self.metrics is not None:
                 self.metrics.counter("pivot.renames_applied", unit="rows").inc(
-                    int(old_ids.size)
+                    int(moved.size)
                 )
 
         # 2. TRSM: finalize the U block B̄_{k,j}. LazyS+ optimization (the
@@ -385,21 +443,15 @@ class LUFactorization:
         #    from the computation"): a block that is numerically zero after
         #    the renames solves to zero, so both the TRSM and the GEMM it
         #    would feed are skipped — bitwise identical, strictly less work.
-        diag_start = self.data.starts[k]
-        pos, present = self.data.positions(j, np.array([diag_start]))
-        if not present[0]:
-            raise SchedulingError(
-                f"U({k},{j}) scheduled but block ({k},{j}) is not stored"
-            )
-        off = int(pos[0])
+        off = int(rel[0])
         w_j = panel_j.shape[1]
         if san is not None:
             san.record_read(j, subs[:w])
         if not panel_j[off : off + w, :].any():
-            self.lazy_stats.skip_update(w, int(subs.size) - w, w_j)
+            self.lazy_stats.skip_update(w, int(rel.size) - w, w_j)
             if self.metrics is not None:
                 self.metrics.counter("update.skipped_zero_block", unit="updates").inc()
-            return
+            return None
         u_kj = solve_unit_lower(m[:w, :w], panel_j[off : off + w, :])
         panel_j[off : off + w, :] = u_kj
         if san is not None:
@@ -410,50 +462,52 @@ class LUFactorization:
                 trsm_flops(w, w_j)
             )
             self.metrics.histogram("kernel.trsm.width", unit="cols").observe(w_j)
+        return panel_j, rel, u_kj
 
-        # 3. GEMM: push the update into the rows below block k that column
-        #    j materializes. Padded rows (all-zero multipliers) are skipped:
-        #    they contribute nothing, and — critically for the threaded
-        #    executor — writing their zero deltas would race with concurrent
-        #    independent-subtree updates that own those rows for real.
-        below_ids = subs[w:]
-        if not below_ids.size:
-            self.lazy_stats.note_gemm_rows(0, 0, w, w_j)
-        else:
-            l_below = m[w:, :]
-            active = np.any(l_below != 0.0, axis=1)
-            n_active = int(active.sum())
-            self.lazy_stats.note_gemm_rows(int(active.size), n_active, w, w_j)
-            if n_active:
-                bpos, bpresent = self.data.positions(j, below_ids[active])
-                if np.any(bpresent):
-                    panel_j[bpos[bpresent], :] -= l_below[active][bpresent] @ u_kj
-                    if san is not None:
-                        gemm_rows = below_ids[active][bpresent]
-                        san.record_read(j, gemm_rows)
-                        san.record_write(j, gemm_rows)
-                if self.metrics is not None:
-                    self.metrics.counter("kernel.gemm.calls", unit="calls").inc()
-                    self.metrics.counter("kernel.gemm.flops", unit="flops").inc(
-                        gemm_flops(n_active, w, w_j)
-                    )
-                    self.metrics.histogram("kernel.gemm.rows", unit="rows").observe(
-                        n_active
-                    )
-                    self.metrics.histogram("kernel.gemm.width", unit="cols").observe(
-                        w_j
-                    )
+    def _gemm(
+        self,
+        k: int,
+        j: int,
+        panel_j: np.ndarray,
+        rel_rows: np.ndarray,
+        l_rows: np.ndarray,
+        active: np.ndarray,
+        u_kj: np.ndarray,
+        lo: int,
+    ) -> None:
+        """``panel_j[rows] -= L @ U_kj`` over the active multiplier rows.
+
+        ``rel_rows`` are the panel-``j`` rows of the candidate rows
+        ``lo:lo + len(rel_rows)`` of block column ``k`` and ``l_rows``
+        their multipliers; rows column ``j`` does not store are dropped.
+        """
+        pos = rel_rows[active]
+        present = pos >= 0
+        panel_j[pos[present], :] -= l_rows[active][present] @ u_kj
+        n_active = int(pos.size)
+        if self.sanitizer is not None:
+            subs = self.data.sub_rows(k)[lo : lo + rel_rows.size]
+            gemm_rows = subs[active][present]
+            self.sanitizer.record_read(j, gemm_rows)
+            self.sanitizer.record_write(j, gemm_rows)
+        if self.metrics is not None:
+            w_j = panel_j.shape[1]
+            self.metrics.counter("kernel.gemm.calls", unit="calls").inc()
+            self.metrics.counter("kernel.gemm.flops", unit="flops").inc(
+                gemm_flops(n_active, u_kj.shape[0], w_j)
+            )
+            self.metrics.histogram("kernel.gemm.rows", unit="rows").observe(n_active)
+            self.metrics.histogram("kernel.gemm.width", unit="cols").observe(w_j)
 
     # ------------------------------------------------------------------
     # 2-D per-block task bodies (repro.parallel.two_d)
     # ------------------------------------------------------------------
     def _block_slice(self, k: int, i: int) -> tuple[int, int]:
         """Rows of block ``i`` inside panel ``k``'s candidate sub-panel."""
-        subs = self.data.sub_rows(k)
-        starts = self.data.starts
-        lo = int(np.searchsorted(subs, starts[i]))
-        hi = int(np.searchsorted(subs, starts[i + 1]))
-        return lo, hi
+        layout = self.data.layout
+        bi = int(np.searchsorted(layout.col_blocks[k], i))
+        lo = int(layout.col_offsets[k][bi]) - layout.diag_offset(k)
+        return lo, lo + layout.width(i)
 
     def _scale_lower(self, k: int, i: int) -> None:
         """``SL(k, i)``: publish the active-row mask of lower block (i, k).
@@ -475,8 +529,7 @@ class LUFactorization:
         self,
         k: int,
         j: int,
-        subs: "np.ndarray | None" = None,
-        pivoted: "np.ndarray | None" = None,
+        order: "np.ndarray | None" = None,
         m: "np.ndarray | None" = None,
     ) -> None:
         """``SU(k, j)``: renames + TRSM of block (k, j) — phases 1-2 of
@@ -484,73 +537,27 @@ class LUFactorization:
 
         The rename scatter may touch *any* supported row of column ``j``
         (pivot swaps cross block rows), which is why the 2-D graph
-        serializes a column's steps on its ``SU`` tasks. ``subs``/
-        ``pivoted``/``m`` override the local bookkeeping when ``F(k)`` ran
-        on another process (proc engine: pivots come from the shared
-        arena).
+        serializes a column's steps on its ``SU`` tasks. ``order``/``m``
+        override the local bookkeeping when ``F(k)`` ran on another
+        process (proc engine: pivots come from the shared arena).
         """
         if self.check_dependencies and ("F", k, k, k) not in self.done:
             raise SchedulingError(f"SU({k},{j}) ran before F({k})")
-        if subs is None:
-            subs = self.sub_rows[k]
-        if pivoted is None:
-            pivoted = self.pivoted_rows[k]
+        if order is None:
+            order = self.pivot_order[k]
         if m is None:
             m = self.data.sub_panel(k)
         w = self.data.width(k)
-        panel_j = self.data.panels[j]
-        if panel_j is None:
-            raise SchedulingError(
-                f"SU({k},{j}) ran on a process that does not own column {j}"
-            )
-        san = self.sanitizer
-        if san is not None:
-            from repro.analysis.sanitizer import pivot_region
-
-            san.record_read(pivot_region(k), subs)
-            san.record_read(k, subs[:w])
-        changed = pivoted != subs
-        if np.any(changed):
-            old_ids = pivoted[changed]
-            new_ids = subs[changed]
-            old_pos, old_present = self.data.positions(j, old_ids)
-            new_pos, new_present = self.data.positions(j, new_ids)
-            vals = np.zeros((old_ids.size, panel_j.shape[1]), dtype=np.float64)
-            if np.any(old_present):
-                vals[old_present] = panel_j[old_pos[old_present]]
-            if np.any(new_present):
-                panel_j[new_pos[new_present]] = vals[new_present]
-            if san is not None:
-                san.record_read(j, old_ids[old_present])
-                san.record_write(j, new_ids[new_present])
-            if self.metrics is not None:
-                self.metrics.counter("pivot.renames_applied", unit="rows").inc(
-                    int(old_ids.size)
-                )
-        off = self._upper_block_offset(k, j, panel_j)
-        w_j = panel_j.shape[1]
-        if san is not None:
-            san.record_read(j, subs[:w])
-        if not panel_j[off : off + w, :].any():
+        if self.sanitizer is not None:
+            self.sanitizer.record_read(k, self.data.sub_rows(k)[:w])
+        step = self._rename_and_trsm(k, j, order, m)
+        if step is None:
             # LazyS+: the whole update (k → j) is structurally dead; the
             # UP(k, ·, j) tasks see the still-zero U block and return, so
-            # one skip here accounts for the full 1-D-equivalent update.
-            self.lazy_stats.skip_update(w, int(subs.size) - w, w_j)
-            if self.metrics is not None:
-                self.metrics.counter("update.skipped_zero_block", unit="updates").inc()
+            # the skip accounts for the full 1-D-equivalent update.
             return
-        u_kj = solve_unit_lower(m[:w, :w], panel_j[off : off + w, :])
-        panel_j[off : off + w, :] = u_kj
-        if san is not None:
-            san.record_write(j, subs[:w])
         self.lazy_stats.n_updates_run += 1
-        self.lazy_stats.flops_spent += trsm_flops(w, w_j)
-        if self.metrics is not None:
-            self.metrics.counter("kernel.trsm.calls", unit="calls").inc()
-            self.metrics.counter("kernel.trsm.flops", unit="flops").inc(
-                trsm_flops(w, w_j)
-            )
-            self.metrics.histogram("kernel.trsm.width", unit="cols").observe(w_j)
+        self.lazy_stats.flops_spent += trsm_flops(w, step[0].shape[1])
 
     def _block_update(self, k: int, i: int, j: int) -> None:
         """``UP(k, i, j)``: GEMM of block row ``i`` into column ``j``.
@@ -570,7 +577,8 @@ class LUFactorization:
             raise SchedulingError(
                 f"UP({k},{i},{j}) ran on a process that does not own column {j}"
             )
-        off = self._upper_block_offset(k, j, panel_j)
+        rel = self._relative_rows(k, j)
+        off = int(rel[0])
         u_kj = panel_j[off : off + w, :]
         san = self.sanitizer
         if san is not None:
@@ -587,33 +595,18 @@ class LUFactorization:
         w_j = panel_j.shape[1]
         self.lazy_stats.flops_saved += 2 * (int(active.size) - n_active) * w * w_j
         self.lazy_stats.flops_spent += 2 * n_active * w * w_j
-        if not n_active:
-            return
-        block_ids = self.data.sub_rows(k)[lo:hi]
-        bpos, bpresent = self.data.positions(j, block_ids[active])
-        if np.any(bpresent):
-            panel_j[bpos[bpresent], :] -= m[lo:hi][active][bpresent] @ u_kj
-            if san is not None:
-                gemm_rows = block_ids[active][bpresent]
-                san.record_read(j, gemm_rows)
-                san.record_write(j, gemm_rows)
-        if self.metrics is not None:
-            self.metrics.counter("kernel.gemm.calls", unit="calls").inc()
-            self.metrics.counter("kernel.gemm.flops", unit="flops").inc(
-                gemm_flops(n_active, w, w_j)
-            )
-            self.metrics.histogram("kernel.gemm.rows", unit="rows").observe(n_active)
-            self.metrics.histogram("kernel.gemm.width", unit="cols").observe(w_j)
+        if n_active:
+            self._gemm(k, j, panel_j, rel[lo:hi], m[lo:hi], active, u_kj, lo)
 
-    def _upper_block_offset(self, k: int, j: int, panel_j: np.ndarray) -> int:
-        """Panel offset of stored block (k, j); raises when absent."""
-        diag_start = self.data.starts[k]
-        pos, present = self.data.positions(j, np.array([diag_start]))
-        if not present[0]:
+    def _relative_rows(self, k: int, j: int) -> np.ndarray:
+        """Panel-``j`` rows of ``sub_rows(k)``; raises when block (k, j) is
+        not stored (the update was scheduled against the pattern)."""
+        try:
+            return self.data.layout.relative_rows(k, j)
+        except PatternError:
             raise SchedulingError(
                 f"update ({k}->{j}) scheduled but block ({k},{j}) is not stored"
-            )
-        return int(pos[0])
+            ) from None
 
     def _require_column_updates_done(self, k: int) -> None:
         stored = None
@@ -638,9 +631,11 @@ class LUFactorization:
     # ------------------------------------------------------------------
     # Extraction
     # ------------------------------------------------------------------
-    def _final_l_labels(self) -> dict[int, np.ndarray]:
-        """Final row label of every candidate-panel position, per block.
+    def _final_l_labels(self) -> np.ndarray:
+        """Final row label of every candidate-panel position.
 
+        Returned flat, in the layout's candidate order: the labels of
+        block ``k`` are ``[cand_ptr[k]:cand_ptr[k + 1]]``.
         ``Factor(k)``'s multipliers live at the slot labels current *at the
         time* of ``F(k)``; later factorizations rename some of those slots
         again (a pivot swap moves the whole row, multipliers included, just
@@ -651,17 +646,33 @@ class LUFactorization:
         belong to comparable eforest nodes, whose F tasks every dependence
         graph orders.
         """
+        ptr = self.data.layout.cand_ptr
         cur = np.arange(self.n, dtype=np.int64)
-        labels: dict[int, np.ndarray] = {}
+        labels = np.empty(int(ptr[-1]), dtype=np.int64)
         for k in range(self.bp.n_blocks - 1, -1, -1):
             subs = self.sub_rows[k]
-            pivoted = self.pivoted_rows[k]
-            labels[k] = cur[subs]
-            changed = pivoted != subs
-            if np.any(changed):
-                moved = cur[subs[changed]].copy()
-                cur[pivoted[changed]] = moved
+            order = self.pivot_order[k]
+            labels[ptr[k] : ptr[k + 1]] = cur[subs]
+            moved = np.flatnonzero(order != np.arange(order.size))
+            if moved.size:
+                cur[subs[order[moved]]] = cur[subs[moved]]
         return labels
+
+    def adopt_pivots(self, orders: Sequence[np.ndarray]) -> None:
+        """Take over every block's pivot order from a run executed
+        elsewhere (the gather of a distributed or multi-process run) and
+        recompute the global row permutation by composing the renames in
+        block order — execution-order independent, see docs/parallel.md."""
+        orig_at = np.arange(self.n, dtype=np.int64)
+        for k in range(self.bp.n_blocks):
+            subs = self.data.sub_rows(k)
+            order = orders[k]
+            self.sub_rows[k] = subs
+            self.pivot_order[k] = order
+            moved = np.flatnonzero(order != np.arange(order.size))
+            if moved.size:
+                orig_at[subs[moved]] = orig_at[subs[order[moved]]]
+        self.orig_at = orig_at
 
     def extract(
         self,
@@ -670,69 +681,33 @@ class LUFactorization:
         retain_blocks: bool = False,
         solve_schedule=None,
     ) -> FactorResult:
-        """Assemble scalar CSC factors; entries with ``|v| <= drop_tol`` in
-        padded positions are dropped (0.0 keeps everything nonzero).
+        """Package the factors; entries with ``|v| <= drop_tol`` in padded
+        positions are dropped from the scalar form (0.0 keeps everything
+        nonzero).
 
-        Assembly is whole-block vectorized (one ``nonzero`` scan per block
-        instead of per-column Python loops); the COO builder sorts by
-        (column, row), so the result is independent of emission order.
-
-        ``retain_blocks=True`` additionally keeps the factors in panel
-        form as a :class:`~repro.numeric.supersolve.BlockFactors` on the
-        result, enabling the supernodal block solve path.
+        The factors are built once, as panels
+        (:class:`~repro.numeric.supersolve.BlockFactors`).
+        ``retain_blocks=True`` keeps them on the result for the supernodal
+        block solve and assembles scalar CSC only when ``l_factor``/
+        ``u_factor`` are first read; ``retain_blocks=False`` assembles the
+        scalar CSC factors now, from the same panels, and drops them.
         ``solve_schedule`` optionally supplies a precomputed
         :class:`~repro.taskgraph.solve_graph.SolveSchedule` (a cached plan
-        carries one); otherwise it is derived from the block pattern.
+        carries one); otherwise one is derived on first need.
         """
+        from repro.numeric.supersolve import BlockFactors
+
         if len(self.sub_rows) != self.bp.n_blocks:
             missing = self.bp.n_blocks - len(self.sub_rows)
             raise SchedulingError(f"{missing} block columns were never factored")
-        n = self.n
-        lb = COOBuilder(n, n)
-        ub = COOBuilder(n, n)
-        starts = self.data.starts
-        l_labels = self._final_l_labels()
-        # Unit diagonal of L, all columns at once.
-        diag = np.arange(n, dtype=np.int64)
-        lb.extend(diag, diag, np.ones(n, dtype=np.float64))
-        for k in range(self.bp.n_blocks):
-            w = self.data.width(k)
-            gcol0 = int(starts[k])
-            panel = self.data.sub_panel(k)
-            rows_final = l_labels[k]
-            # L: the strictly-below-diagonal part of the candidate panel.
-            rr, cc = np.nonzero(np.abs(panel) > drop_tol)
-            keep = rr > cc
-            if np.any(keep):
-                rk, ck = rr[keep], cc[keep]
-                lb.extend(rows_final[rk], gcol0 + ck, panel[rk, ck])
-            # U: upper blocks of column k plus the diagonal block's upper part.
-            panel_full = self.data.panels[k]
-            for bi, b in enumerate(self.data.col_blocks[k]):
-                b = int(b)
-                if b > k:
-                    continue
-                off = int(self.data.col_offsets[k][bi])
-                h = int(starts[b + 1] - starts[b])
-                block = panel_full[off : off + h, :]
-                if b < k:
-                    rr, cc = np.nonzero(np.abs(block) > drop_tol)
-                else:  # diagonal block: keep the upper triangle, diag forced
-                    nz = np.triu(np.abs(block) > drop_tol)
-                    np.fill_diagonal(nz, True)
-                    rr, cc = np.nonzero(nz)
-                if rr.size:
-                    ub.extend(int(starts[b]) + rr, gcol0 + cc, block[rr, cc])
-        blocks = None
+        blocks = BlockFactors.from_engine(
+            self.data,
+            self._final_l_labels(),
+            self.orig_at,
+            schedule=solve_schedule,
+        )
         if retain_blocks:
-            from repro.numeric.supersolve import BlockFactors
-
-            blocks = BlockFactors.from_engine(
-                self.data, l_labels, self.orig_at, schedule=solve_schedule
-            )
+            return FactorResult(blocks.orig_at, blocks, drop_tol=drop_tol)
         return FactorResult(
-            l_factor=lb.to_csc(),
-            u_factor=ub.to_csc(),
-            orig_at=self.orig_at.copy(),
-            blocks=blocks,
+            blocks.orig_at, csc=blocks.scalar_factors(drop_tol)
         )

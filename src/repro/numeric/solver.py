@@ -737,12 +737,7 @@ class SparseLUSolver:
             with self.tracer.span(f"solve.{impl_used}") as s:
                 x_work = self.result.solve(b_work, impl=impl_used)
                 if use_block:
-                    sched = self.result.blocks.schedule
-                    s.set(
-                        n_blocks=self.result.blocks.n_blocks,
-                        n_fwd_levels=sched.n_fwd_levels,
-                        n_bwd_levels=sched.n_bwd_levels,
-                    )
+                    s.set(**self.result.blocks.span_attrs())
             x = x_work[self.col_perm]
             if self.equil is not None:
                 x = self.equil.unscale_solution(x)

@@ -34,22 +34,25 @@ pivoting renames multiplier rows, and a rename in a later block can move
 a row *across block boundaries*, outside the static block pattern of the
 source column. (U is immune — its row structure lives in position space
 and is fully static.) The build therefore checks, per L block, whether
-the final row labels stay inside the static structure: if they do, the
-precomputed static :class:`~repro.taskgraph.solve_graph.SolveSchedule`
-(cached on a :class:`repro.serve.SymbolicPlan`) is used as-is; if any
-block escapes, an exact schedule is rebuilt from the actual block
-dependence lists via
-:func:`~repro.taskgraph.solve_graph.schedule_from_structure` — one cheap
-graph pass over ~#stored-blocks edges, amortized over every solve
-against these factors. ``static_covered`` records which case occurred.
+the final row labels stay inside the static structure and records the
+answer in ``static_covered``. The sequential solve needs no schedule at
+all (plain ascending, then descending block order is topological). Only
+threaded and explicit-order solves read :attr:`BlockFactors.schedule`:
+the precomputed static :class:`~repro.taskgraph.solve_graph.SolveSchedule`
+(cached on a :class:`repro.serve.SymbolicPlan`) when it is exact, else an
+exact schedule derived on first use from the actual block dependence lists
+via :func:`~repro.taskgraph.solve_graph.schedule_from_structure`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.numeric.blockdata import BlockColumnData
 from repro.numeric.kernels import solve_unit_lower, solve_upper
+from repro.sparse.coo import COOBuilder
+from repro.sparse.csc import CSCMatrix
 from repro.taskgraph.solve_graph import SolveSchedule, schedule_from_structure
 from repro.util.errors import SchedulingError, ShapeError
 
@@ -57,9 +60,10 @@ from repro.util.errors import SchedulingError, ShapeError
 class BlockFactors:
     """Panel-form factors of ``P A = L U``, ready for block solves.
 
-    Built by ``LUFactorization.extract(retain_blocks=True)``; everything is
-    an owned copy, so instances stay valid after the engine is dropped and
-    are safe to share read-only across threads.
+    Built by ``LUFactorization.extract()``; everything is an owned copy,
+    so instances stay valid after the engine is dropped and are safe to
+    share read-only across threads. This is the only stored form of the
+    factors: :meth:`scalar_factors` assembles scalar CSC from it on demand.
     """
 
     __slots__ = (
@@ -67,14 +71,17 @@ class BlockFactors:
         "n_blocks",
         "starts",
         "orig_at",
+        "diag",
         "diag_linv",
         "diag_uinv",
         "fwd_mats",
         "fwd_cols",
         "bwd_mats",
         "bwd_cols",
-        "schedule",
         "static_covered",
+        "_fwd_srcs",
+        "_bwd_srcs",
+        "_schedule",
     )
 
     def __init__(
@@ -83,27 +90,58 @@ class BlockFactors:
         n: int,
         starts: np.ndarray,
         orig_at: np.ndarray,
-        diag_linv: list,
-        diag_uinv: list,
+        diag: list,
         fwd_mats: list,
         fwd_cols: list,
+        fwd_srcs: list,
         bwd_mats: list,
         bwd_cols: list,
-        schedule: SolveSchedule,
+        bwd_srcs: list,
+        schedule: "SolveSchedule | None" = None,
         static_covered: bool = True,
     ) -> None:
         self.n = n
-        self.n_blocks = len(diag_linv)
+        self.n_blocks = len(diag)
         self.starts = starts
         self.orig_at = orig_at
-        self.diag_linv = diag_linv
-        self.diag_uinv = diag_uinv
+        self.diag = diag
+        eye = [np.eye(d.shape[0], dtype=np.float64) for d in diag]
+        # The substitution kernels read only their own triangle of the
+        # intertwined diagonal block; inverting against the identity once
+        # makes every later per-block solve a plain GEMM.
+        self.diag_linv = [solve_unit_lower(d, e) for d, e in zip(diag, eye)]
+        self.diag_uinv = [solve_upper(d, e) for d, e in zip(diag, eye)]
         self.fwd_mats = fwd_mats
         self.fwd_cols = fwd_cols
         self.bwd_mats = bwd_mats
         self.bwd_cols = bwd_cols
-        self.schedule = schedule
+        self._fwd_srcs = fwd_srcs
+        self._bwd_srcs = bwd_srcs
         self.static_covered = static_covered
+        # A cached static schedule is exact only when no pivot rename
+        # escaped the static structure; otherwise it is derived on demand.
+        self._schedule = schedule if static_covered else None
+
+    @property
+    def schedule(self) -> SolveSchedule:
+        """The solve-graph level schedule (threaded and explicit-order
+        solves); derived from the actual block dependences on first use
+        when no exact cached schedule was supplied."""
+        if self._schedule is None:
+            self._schedule = schedule_from_structure(self._fwd_srcs, self._bwd_srcs)
+        return self._schedule
+
+    def span_attrs(self) -> dict:
+        """Telemetry attributes of a block solve; level counts appear only
+        when a schedule exists (recording them never builds one)."""
+        attrs: dict = {
+            "n_blocks": self.n_blocks,
+            "static_covered": bool(self.static_covered),
+        }
+        if self._schedule is not None:
+            attrs["n_fwd_levels"] = self._schedule.n_fwd_levels
+            attrs["n_bwd_levels"] = self._schedule.n_bwd_levels
+        return attrs
 
     # ------------------------------------------------------------------
     # Construction
@@ -112,111 +150,159 @@ class BlockFactors:
     def from_engine(
         cls,
         data: BlockColumnData,
-        l_labels: dict,
+        labels: np.ndarray,
         orig_at: np.ndarray,
         schedule: "SolveSchedule | None" = None,
     ) -> "BlockFactors":
         """Assemble block factors from a completed factorization's storage.
 
-        ``l_labels`` is ``LUFactorization._final_l_labels()`` — the final
-        global row id of every candidate-panel position. The first ``w``
-        labels of block ``k`` are always the block's own rows (later pivot
-        renames only touch positions below finished diagonals), so the
-        diagonal block is the top ``(w, w)`` slice of the candidate panel
-        and the rows below it scatter into strictly later blocks.
+        ``labels`` is ``LUFactorization._final_l_labels()`` — the final
+        global row id of every candidate-panel position, flat in the
+        layout's candidate order. The first ``w`` labels of block ``k`` are
+        always the block's own rows (later pivot renames only touch
+        positions below finished diagonals), so the diagonal block is the
+        top ``(w, w)`` slice of the candidate panel and the rows below it
+        scatter into strictly later blocks.
+
+        Whole-factorization vectorized: one pass finds the nonzero panel
+        rows, and each solve direction's row panels are filled from the
+        flat panel buffer with one gather per distinct row length.
         """
         layout = data.layout
-        n_blocks = data.n_blocks
+        nb = data.n_blocks
         starts = layout.starts
-        diag_linv: list = []
-        diag_uinv: list = []
-        fwd_parts: list = [[] for _ in range(n_blocks)]
-        fwd_srcs: list = [[] for _ in range(n_blocks)]
-        bwd_parts: list = [[] for _ in range(n_blocks)]
-        bwd_srcs: list = [[] for _ in range(n_blocks)]
-        static_covered = True
-        for k in range(n_blocks):
-            w = layout.width(k)
-            sub = data.sub_panel(k)
-            diag = sub[:w, :w]
-            eye = np.eye(w, dtype=np.float64)
-            # The substitution kernels read only their own triangle of the
-            # intertwined diagonal block; inverting against the identity
-            # once makes every later per-block solve a plain GEMM.
-            diag_linv.append(solve_unit_lower(diag, eye))
-            diag_uinv.append(solve_upper(diag, eye))
+        w = layout.widths
+        poff = layout.panel_offsets
+        dgo = layout.diag_offsets
+        flat = data.flat
+        heights = np.asarray(layout.panel_heights, dtype=np.int64)
+        row_ptr = np.zeros(nb + 1, dtype=np.int64)
+        np.cumsum(heights, out=row_ptr[1:])
+        # Which panel rows hold a nonzero: rows tile the flat buffer.
+        row_blk = np.repeat(np.arange(nb, dtype=np.int64), heights)
+        row_start = poff[row_blk] + (
+            np.arange(row_ptr[-1], dtype=np.int64) - row_ptr[row_blk]
+        ) * w[row_blk]
+        row_nz = (
+            np.logical_or.reduceat(flat != 0.0, row_start)
+            if row_start.size
+            else np.zeros(0, dtype=bool)
+        )
 
-            # L blocks of block *rows* below k: group the candidate-panel
-            # rows by the target block of their final label. All-zero
-            # groups are padding the elimination never touched (LazyS+) and
-            # are dropped — fewer gathered columns, identical bits.
-            labels_below = l_labels[k][w:]
-            if labels_below.size:
-                vals_below = sub[w:, :]
-                tb = layout.block_of_row[labels_below]
-                order = np.argsort(tb, kind="stable")
-                tb_sorted = tb[order]
-                bounds = np.flatnonzero(
-                    np.r_[True, tb_sorted[1:] != tb_sorted[:-1], True]
-                )
-                stored = layout.col_blocks[k]
-                for s, e in zip(bounds[:-1], bounds[1:]):
-                    t = int(tb_sorted[s])
-                    pos = order[s:e]
-                    block_vals = vals_below[pos, :]
-                    if not block_vals.any():
-                        continue
-                    # Is block (t, k) inside the static pattern? That is
-                    # what generates the FS(k) -> FS(t) edge of the static
-                    # solve graph; a pivot rename that moved rows here from
-                    # another block demands the exact schedule instead.
-                    i = int(np.searchsorted(stored, t))
-                    if i >= stored.size or int(stored[i]) != t:
-                        static_covered = False
-                    mat = np.zeros((layout.width(t), w), dtype=np.float64)
-                    mat[labels_below[pos] - starts[t], :] = block_vals
-                    fwd_parts[t].append(mat)
-                    fwd_srcs[t].append(k)
+        diag = [
+            flat[o : o + wk * wk].reshape(wk, wk).copy()
+            for o, wk in zip((poff[:-1] + dgo * w).tolist(), w.tolist())
+        ]
 
-            # U blocks of block row b < k stored in column k contribute to
-            # BS(b); their row structure is static (position space), so no
-            # label translation is needed. The backward dependence
-            # BS(k) -> BS(b) is in the static graph by construction.
-            panel_full = data.panels[k]
-            for bi, b in enumerate(layout.col_blocks[k]):
-                b = int(b)
-                if b >= k:
-                    break
-                off = int(layout.col_offsets[k][bi])
-                h = int(starts[b + 1] - starts[b])
-                block_vals = panel_full[off : off + h, :]
-                if not block_vals.any():
-                    continue
-                bwd_parts[b].append(block_vals.copy())
-                bwd_srcs[b].append(k)
+        # L blocks of block *rows* below k: the candidate rows below the
+        # diagonal block, grouped by (target block of their final label,
+        # source column). All-zero groups are padding the elimination never
+        # touched (LazyS+) and are dropped — fewer gathered columns,
+        # identical bits.
+        cptr = layout.cand_ptr
+        src = np.repeat(np.arange(nb, dtype=np.int64), np.diff(cptr))
+        pos = np.arange(cptr[-1], dtype=np.int64) - cptr[src]
+        below = pos >= w[src]
+        src, lab = src[below], labels[below]
+        prow = dgo[src] + pos[below]  # panel row in column src
+        tgt = layout.block_of_row[lab]
+        key = tgt * nb + src
+        kept = np.unique(key[row_nz[row_ptr[src] + prow]])
+        g = np.searchsorted(kept, key)
+        sel = kept[np.minimum(g, kept.size - 1)] == key if kept.size else g < 0
+        kept_t, kept_s = kept // max(nb, 1), kept % max(nb, 1)
+        # Is every block (t, k) inside the static pattern? That is what
+        # generates the FS(k) -> FS(t) edges of the static solve graph; a
+        # pivot rename that moved rows across blocks demands the exact
+        # schedule instead.
+        static_covered = bool(np.all(layout.locate(kept_s, starts[kept_t]) >= 0))
+        s_sel = src[sel]
+        fwd = _row_panels(
+            flat,
+            layout,
+            kept_t,
+            kept_s,
+            g[sel],
+            lab[sel] - starts[tgt[sel]],
+            poff[s_sel] + prow[sel] * w[s_sel],
+        )
 
-        fwd_mats, fwd_cols = _fuse(fwd_parts, fwd_srcs, starts, n_blocks)
-        bwd_mats, bwd_cols = _fuse(bwd_parts, bwd_srcs, starts, n_blocks)
-        if not static_covered or schedule is None:
-            # Pivot renames escaped the static structure (or no cached
-            # schedule was supplied): derive the exact value-dependent
-            # schedule from the actual per-block dependence lists.
-            schedule = schedule_from_structure(fwd_srcs, bwd_srcs)
+        # U blocks of block row b < k stored in column k contribute to
+        # BS(b); their row structure is static (position space), so no
+        # label translation is needed. The backward dependence
+        # BS(k) -> BS(b) is in the static graph by construction.
+        col, blk, off = layout.stored_blocks()
+        up = blk < col
+        col, blk, off = col[up], blk[up], off[up]
+        first = row_ptr[col] + off
+        nz_cum = np.concatenate(([0], np.cumsum(row_nz)))
+        keep = nz_cum[first + w[blk]] > nz_cum[first]
+        order = np.argsort(blk[keep] * nb + col[keep], kind="stable")
+        col, blk, off = col[keep][order], blk[keep][order], off[keep][order]
+        h = w[blk]
+        row_g = np.repeat(np.arange(col.size, dtype=np.int64), h)
+        row_r = np.arange(int(h.sum()), dtype=np.int64) - (np.cumsum(h) - h)[row_g]
+        bwd = _row_panels(
+            flat,
+            layout,
+            blk,
+            col,
+            row_g,
+            row_r,
+            poff[col[row_g]] + (off[row_g] + row_r) * w[col[row_g]],
+        )
+
         oa = np.asarray(orig_at, dtype=np.int64).copy()
         oa.setflags(write=False)
         return cls(
             n=data.n,
             starts=starts,
             orig_at=oa,
-            diag_linv=diag_linv,
-            diag_uinv=diag_uinv,
-            fwd_mats=fwd_mats,
-            fwd_cols=fwd_cols,
-            bwd_mats=bwd_mats,
-            bwd_cols=bwd_cols,
+            diag=diag,
+            fwd_mats=fwd[0],
+            fwd_cols=fwd[1],
+            fwd_srcs=fwd[2],
+            bwd_mats=bwd[0],
+            bwd_cols=bwd[1],
+            bwd_srcs=bwd[2],
             schedule=schedule,
             static_covered=static_covered,
         )
+
+    def scalar_factors(self, drop_tol: float = 0.0) -> "tuple[CSCMatrix, CSCMatrix]":
+        """Assemble scalar CSC ``(L, U)``; entries with ``|v| <= drop_tol``
+        are dropped (the unit diagonal of ``L`` and the diagonal of ``U``
+        are always kept).
+
+        Whole-block vectorized (one ``nonzero`` scan per stored block); the
+        COO builder sorts by (column, row), so the result is independent of
+        emission order.
+        """
+        n = self.n
+        lb = COOBuilder(n, n)
+        ub = COOBuilder(n, n)
+        ids = np.arange(n, dtype=np.int64)
+        lb.extend(ids, ids, np.ones(n, dtype=np.float64))
+        for k in range(self.n_blocks):
+            lo = int(self.starts[k])
+            d = self.diag[k]
+            big = np.abs(d) > drop_tol
+            rr, cc = np.nonzero(np.tril(big, -1))
+            if rr.size:
+                lb.extend(lo + rr, lo + cc, d[rr, cc])
+            nz = np.triu(big)
+            np.fill_diagonal(nz, True)
+            rr, cc = np.nonzero(nz)
+            ub.extend(lo + rr, lo + cc, d[rr, cc])
+            for mat, cols, out in (
+                (self.fwd_mats[k], self.fwd_cols[k], lb),
+                (self.bwd_mats[k], self.bwd_cols[k], ub),
+            ):
+                if cols.size:
+                    rr, cc = np.nonzero(np.abs(mat) > drop_tol)
+                    if rr.size:
+                        out.extend(lo + rr, cols[cc], mat[rr, cc])
+        return lb.to_csc(), ub.to_csc()
 
     # ------------------------------------------------------------------
     # Solving
@@ -240,10 +326,14 @@ class BlockFactors:
     ) -> np.ndarray:
         """Solve ``L U x = pb`` for an already-permuted right-hand side.
 
+        The sequential solve walks the blocks in ascending order forward,
+        then descending backward: every forward source block lies below
+        its target and every backward source above it, so this is a
+        topological order of the solve graph and needs no schedule.
         ``order`` (tests only) runs an explicit task sequence — any
-        topological order of the solve graph — instead of the level
-        schedule; ``n_threads > 1`` runs the solve graph under the shared
-        threaded executor. All three paths produce identical bits.
+        topological order of the solve graph — instead; ``n_threads > 1``
+        runs the solve graph under the shared threaded executor. All three
+        paths produce identical bits.
         """
         pb = np.asarray(pb, dtype=np.float64)
         y = np.array(pb if pb.ndim == 2 else pb[:, None], dtype=np.float64)
@@ -261,12 +351,10 @@ class BlockFactors:
             engine = _SolveTaskAdapter(self, y)
             threaded_factorize(engine, self.schedule.graph, n_threads)
         else:
-            for level in self.schedule.fwd_levels:
-                for k in level:
-                    self._forward(int(k), y)
-            for level in self.schedule.bwd_levels:
-                for k in level:
-                    self._backward(int(k), y)
+            for k in range(self.n_blocks):
+                self._forward(k, y)
+            for k in range(self.n_blocks - 1, -1, -1):
+                self._backward(k, y)
         return y
 
     def _run_task(self, task, y: np.ndarray) -> None:
@@ -296,26 +384,61 @@ class BlockFactors:
         y[lo:hi] = self.diag_uinv[k] @ rhs
 
 
-def _fuse(parts: list, srcs: list, starts: np.ndarray, n_blocks: int) -> tuple:
-    """Hstack each target's row-panel pieces; build the gather indices."""
-    mats: list = []
-    cols: list = []
-    empty = np.empty(0, dtype=np.int64)
-    for t in range(n_blocks):
-        if parts[t]:
-            mats.append(np.ascontiguousarray(np.hstack(parts[t])))
-            idx = np.concatenate(
-                [
-                    np.arange(starts[s], starts[s + 1], dtype=np.int64)
-                    for s in srcs[t]
-                ]
-            )
-            idx.setflags(write=False)
-            cols.append(idx)
-        else:
-            mats.append(np.zeros((int(starts[t + 1] - starts[t]), 0)))
-            cols.append(empty)
-    return mats, cols
+def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges ``first[i] : first[i] + lengths[i]``."""
+    excl = np.cumsum(lengths) - lengths
+    return np.repeat(first - excl, lengths) + np.arange(
+        int(lengths.sum()), dtype=np.int64
+    )
+
+
+def _row_panels(
+    flat: np.ndarray,
+    layout,
+    grp_t: np.ndarray,
+    grp_s: np.ndarray,
+    row_g: np.ndarray,
+    row_r: np.ndarray,
+    row_src: np.ndarray,
+) -> tuple[list, list, list]:
+    """Fused per-target row panels, filled by one gather from ``flat``.
+
+    Groups ``(grp_t[g], grp_s[g])`` are sorted by target, then source;
+    target ``t``'s matrix is ``(w_t, W_t)`` with its groups' sources
+    side by side in that order (``W_t`` their summed widths). Row ``i``
+    of the input is ``w_s`` contiguous values at ``flat[row_src[i]:]``
+    landing in row ``row_r[i]`` of group ``row_g[i]``'s column slot.
+    Returns per-target ``(mats, gather column ids, source blocks)``.
+    """
+    nb = layout.n_blocks
+    w = layout.widths
+    gw = w[grp_s]
+    width = np.bincount(grp_t, weights=gw, minlength=nb).astype(np.int64)
+    col_ptr = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(width, out=col_ptr[1:])
+    gcol = np.cumsum(gw) - gw - col_ptr[grp_t]  # group's first column
+    base = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(w * width, out=base[1:])
+    t = grp_t[row_g]
+    lens = gw[row_g]
+    dest = base[t] + row_r * width[t] + gcol[row_g]
+    buf = np.zeros(int(base[-1]), dtype=np.float64)
+    # Copy rows of one length at a time through sliding-window views, so
+    # no per-element index array is ever materialized.
+    for length in np.unique(lens).tolist():
+        pick = lens == length
+        dst = sliding_window_view(buf, length, writeable=True)
+        dst[dest[pick]] = sliding_window_view(flat, length)[row_src[pick]]
+    cols = _ranges(layout.starts[grp_s], gw)
+    cols.setflags(write=False)
+    grp_ptr = np.zeros(nb + 1, dtype=np.int64)
+    np.cumsum(np.bincount(grp_t, minlength=nb), out=grp_ptr[1:])
+    b, c, gp = base.tolist(), col_ptr.tolist(), grp_ptr.tolist()
+    wl, wd = w.tolist(), width.tolist()
+    mats = [buf[b[i] : b[i + 1]].reshape(wl[i], wd[i]) for i in range(nb)]
+    col_ids = [cols[c[i] : c[i + 1]] for i in range(nb)]
+    srcs = [grp_s[gp[i] : gp[i + 1]] for i in range(nb)]
+    return mats, col_ids, srcs
 
 
 class _SolveTaskAdapter:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.numeric.blockdata import BlockColumnData
+from repro.numeric.blockdata import BlockColumnData, BlockLayout
 from repro.numeric.factor import FactorResult, LUFactorization
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import BlockPattern
@@ -49,12 +49,12 @@ class PanelMessage:
     k: int
     width: int
     sub_rows: np.ndarray
-    pivoted_rows: np.ndarray
+    pivot_order: np.ndarray  # F(k)'s local pivot order over sub_rows
     panel: np.ndarray  # copy of the candidate panel (L below, U_kk on top)
 
     @property
     def n_bytes(self) -> int:
-        return self.panel.nbytes + self.sub_rows.nbytes + self.pivoted_rows.nbytes
+        return self.panel.nbytes + self.sub_rows.nbytes + self.pivot_order.nbytes
 
 
 class ProcessEngine(LUFactorization):
@@ -66,16 +66,17 @@ class ProcessEngine(LUFactorization):
         a: CSCMatrix,
         bp: BlockPattern,
         owned: set[int],
+        layout: "BlockLayout | None" = None,
     ) -> None:
         # Bypass the parent constructor's full-storage build.
-        self.data = BlockColumnData(a, bp, owned_columns=owned)
+        self.data = BlockColumnData(a, bp, owned_columns=owned, layout=layout)
         self.bp = bp
         self.n = a.n_cols
         self.rank = rank
         self.owned = owned
         self.orig_at = np.arange(self.n, dtype=np.int64)  # unused per-process
         self.sub_rows: dict[int, np.ndarray] = {}
-        self.pivoted_rows: dict[int, np.ndarray] = {}
+        self.pivot_order: dict[int, np.ndarray] = {}
         self.done: set[Task] = set()
         self.check_dependencies = False
         self.metrics = None
@@ -102,7 +103,7 @@ class ProcessEngine(LUFactorization):
             k=k,
             width=self.data.width(k),
             sub_rows=self.sub_rows[k].copy(),
-            pivoted_rows=self.pivoted_rows[k].copy(),
+            pivot_order=self.pivot_order[k].copy(),
             panel=self.data.sub_panel(k).copy(),
         )
 
@@ -110,16 +111,14 @@ class ProcessEngine(LUFactorization):
         if j not in self.owned:
             raise SchedulingError(f"rank {self.rank} cannot update column {j}")
         if k in self.owned:
-            self._apply_update(
-                j, k, self.sub_rows[k], self.pivoted_rows[k], self.data.sub_panel(k)
-            )
+            self._apply_update(j, k, self.pivot_order[k], self.data.sub_panel(k))
             return
         msg = self.inbox.get(k)
         if msg is None:
             raise SchedulingError(
                 f"rank {self.rank}: U({k},{j}) ran before panel {k} arrived"
             )
-        self._apply_update(j, k, msg.sub_rows, msg.pivoted_rows, msg.panel)
+        self._apply_update(j, k, msg.pivot_order, msg.panel)
 
 
 @dataclass
@@ -157,12 +156,15 @@ def message_passing_factorize(
     n_procs = int(owner.max()) + 1 if owner.size else 1
     graph.validate()
 
+    # The symbolic structure is replicated on every rank: one layout.
+    layout = BlockLayout(bp)
     engines = [
         ProcessEngine(
             rank=p,
             a=a,
             bp=bp,
             owned={int(k) for k in np.nonzero(owner == p)[0]},
+            layout=layout,
         )
         for p in range(n_procs)
     ]
@@ -203,7 +205,7 @@ def message_passing_factorize(
                             k=msg.k,
                             width=msg.width,
                             sub_rows=msg.sub_rows.copy(),
-                            pivoted_rows=msg.pivoted_rows.copy(),
+                            pivot_order=msg.pivot_order.copy(),
                             panel=msg.panel.copy(),
                         )
                     )
@@ -225,23 +227,14 @@ def message_passing_factorize(
 
     # Gather: assemble a full-storage engine from the owners' panels and
     # pivot metadata, then extract as usual (the final MPI_Gather).
-    gathered = LUFactorization(a, bp)
+    gathered = LUFactorization(a, bp, layout=layout)
     for k in range(bp.n_blocks):
-        eng = engines[int(owner[k])]
-        gathered.data.panels[k][...] = eng.data.panels[k]
-        gathered.sub_rows[k] = eng.sub_rows[k]
-        gathered.pivoted_rows[k] = eng.pivoted_rows[k]
-    # Recompute the global row permutation from the gathered renames,
+        gathered.data.panels[k][...] = engines[int(owner[k])].data.panels[k]
+    # The global row permutation is recomputed from the gathered renames,
     # composed in block order (execution-order independent, see docs).
-    orig_at = np.arange(a.n_cols, dtype=np.int64)
-    for k in range(bp.n_blocks):
-        subs = gathered.sub_rows[k]
-        pivoted = gathered.pivoted_rows[k]
-        changed = pivoted != subs
-        if np.any(changed):
-            moved = orig_at[pivoted[changed]].copy()
-            orig_at[subs[changed]] = moved
-    gathered.orig_at = orig_at
+    gathered.adopt_pivots(
+        [engines[int(owner[k])].pivot_order[k] for k in range(bp.n_blocks)]
+    )
     result = gathered.extract()
     return MessagePassingResult(
         result=result,

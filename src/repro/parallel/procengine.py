@@ -95,17 +95,18 @@ _QUIT = -2
 class SharedArena:
     """One shared-memory segment holding all panels plus pivot metadata.
 
-    Layout (byte offsets precomputed from a :class:`BlockLayout`):
+    Layout (offsets taken from a :class:`BlockLayout`):
 
     ``[ panel 0 | panel 1 | ... | panel n-1 | pivots 0 | ... | pivots n-1 ]``
 
-    where ``panel k`` is the ``panel_heights[k] x width(k)`` float64 panel
-    of block column ``k`` (row-major, same shape as the private storage)
-    and ``pivots k`` is the int64 ``pivoted_rows`` array ``F(k)`` records
-    — the renaming remote ``U(k, j)`` tasks must apply. The pivot region
-    is written by exactly one rank (the owner of ``k``) strictly before
-    that rank posts ``F(k)``'s completion message, so readers never see a
-    partial write.
+    The panel region is exactly the layout's flat panel buffer
+    (:attr:`BlockLayout.panel_offsets`), so :attr:`flat` can be copied to
+    and from a :class:`~repro.numeric.blockdata.BlockColumnData` in one
+    assignment. ``pivots k`` is the int64 local pivot order ``F(k)``
+    records — the renaming remote ``U(k, j)`` tasks must apply. The pivot
+    region is written by exactly one rank (the owner of ``k``) strictly
+    before that rank posts ``F(k)``'s completion message, so readers never
+    see a partial write.
 
     The creating process is the only one allowed to :meth:`destroy` the
     segment; forked children inherit the mapping and simply exit.
@@ -113,15 +114,11 @@ class SharedArena:
 
     def __init__(self, layout: BlockLayout) -> None:
         self.layout = layout
-        n_blocks = layout.n_blocks
-        self._panel_offsets: list[int] = []
+        self._n_panel = int(layout.panel_offsets[-1])
         self._pivot_offsets: list[int] = []
         self._pivot_sizes: list[int] = []
-        off = 0
-        for k in range(n_blocks):
-            self._panel_offsets.append(off)
-            off += layout.panel_heights[k] * layout.width(k) * _FLOAT.itemsize
-        for k in range(n_blocks):
+        off = self._n_panel * _FLOAT.itemsize
+        for k in range(layout.n_blocks):
             size = int(layout.sub_rows(k).size) if layout.has_diag(k) else 0
             self._pivot_offsets.append(off)
             self._pivot_sizes.append(size)
@@ -130,55 +127,34 @@ class SharedArena:
         self.shm = shared_memory.SharedMemory(create=True, size=max(1, off))
         self.name = self.shm.name
         self._owner_pid = multiprocessing.current_process().pid
-        self.panels: list[np.ndarray] = [
-            np.ndarray(
-                (layout.panel_heights[k], layout.width(k)),
-                dtype=_FLOAT,
-                buffer=self.shm.buf,
-                offset=self._panel_offsets[k],
-            )
-            for k in range(n_blocks)
-        ]
-        self.pivots: list[np.ndarray] = [
+        self.flat, self.pivots = self._views(self.shm.buf)
+        self.panels: list[np.ndarray] = layout.panel_views(self.flat)
+
+    def _views(self, buf: Any) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The flat panel buffer and per-block pivot slots over ``buf``."""
+        flat = np.ndarray((self._n_panel,), dtype=_FLOAT, buffer=buf)
+        pivots = [
             np.ndarray(
                 (self._pivot_sizes[k],),
                 dtype=_INT,
-                buffer=self.shm.buf,
+                buffer=buf,
                 offset=self._pivot_offsets[k],
             )
-            for k in range(n_blocks)
+            for k in range(self.layout.n_blocks)
         ]
+        return flat, pivots
 
-    def snapshot(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Copy the whole segment out in one pass and return private
-        ``(panels, pivots)`` views into the copy.
+    def snapshot(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Copy the whole segment out in one pass and return a private
+        ``(flat panel buffer, pivots)`` pair of views into the copy.
 
         One bulk memcpy beats ~2 x n_blocks small ``np.array`` copies by
         an order of magnitude at gather time; the returned arrays share
         one private buffer and survive :meth:`destroy`.
         """
-        layout = self.layout
-        flat = np.empty(self.nbytes, dtype=np.uint8)
-        flat[:] = np.frombuffer(self.shm.buf, dtype=np.uint8, count=self.nbytes)
-        panels = [
-            np.ndarray(
-                (layout.panel_heights[k], layout.width(k)),
-                dtype=_FLOAT,
-                buffer=flat,
-                offset=self._panel_offsets[k],
-            )
-            for k in range(layout.n_blocks)
-        ]
-        pivots = [
-            np.ndarray(
-                (self._pivot_sizes[k],),
-                dtype=_INT,
-                buffer=flat,
-                offset=self._pivot_offsets[k],
-            )
-            for k in range(layout.n_blocks)
-        ]
-        return panels, pivots
+        copy = np.empty(self.nbytes, dtype=np.uint8)
+        copy[:] = np.frombuffer(self.shm.buf, dtype=np.uint8, count=self.nbytes)
+        return self._views(copy)
 
     def destroy(self) -> None:
         """Release the mapping and unlink the segment (idempotent).
@@ -191,6 +167,7 @@ class SharedArena:
             return
         self.panels = []
         self.pivots = []
+        self.flat = np.empty(0, dtype=_FLOAT)
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - exported views still alive
@@ -281,7 +258,6 @@ def _worker_main(
     sender waits.
     """
     engine.metrics = None  # a forked registry would count into the void
-    layout = engine.data.layout
     data = engine.data
     # Forked copy of the parent's AccessSanitizer (or None): records this
     # worker's accesses and happens-before observations; each run's
@@ -290,8 +266,7 @@ def _worker_main(
     # Re-point the inherited panel storage at the arena: all panel reads
     # and writes in this process go through the shared segment. (The
     # parent keeps its own private panels and copies values in per run.)
-    for k in range(layout.n_blocks):
-        data.panels[k] = arena.panels[k]
+    data.adopt(arena.flat)
     inbox = inboxes[rank]
     own = [i for i in range(len(task_list)) if owner[i] == rank]
     entry = [i for i in own if indeg[i] == 0]
@@ -379,28 +354,20 @@ def _worker_main(
                 t0 = time.perf_counter()
                 if task.kind == "F":
                     engine._factor(task.k)
-                    arena.pivots[task.k][...] = engine.pivoted_rows[task.k]
+                    arena.pivots[task.k][...] = engine.pivot_order[task.k]
                 elif task.kind == "SL":
                     engine._scale_lower(task.k, task.i)
                 elif task.kind == "SU":
                     k = task.k
                     engine._scale_upper(
-                        k,
-                        task.j,
-                        layout.sub_rows(k),
-                        arena.pivots[k],
-                        data.sub_panel(k),
+                        k, task.j, arena.pivots[k], data.sub_panel(k)
                     )
                 elif task.kind == "UP":
                     engine._block_update(task.k, task.i, task.j)
                 else:
                     k = task.k
                     engine._apply_update(
-                        task.j,
-                        k,
-                        layout.sub_rows(k),
-                        arena.pivots[k],
-                        data.sub_panel(k),
+                        task.j, k, arena.pivots[k], data.sub_panel(k)
                     )
                 busy += time.perf_counter() - t0
                 if san is not None:
@@ -651,7 +618,6 @@ def _consume(msg: tuple, pending: set, stats_by_rank: dict) -> None:
 def _gather(
     engine: LUFactorization,
     arena: SharedArena,
-    n_blocks: int,
     task_list: list[Task],
     stats_by_rank: dict,
 ) -> None:
@@ -660,21 +626,9 @@ def _gather(
     permutation from the per-block renames composed in block order
     (execution-order independent — same argument as the message-passing
     gather, see docs/parallel.md)."""
-    layout = engine.data.layout
-    panels, pivots = arena.snapshot()
-    for k in range(n_blocks):
-        engine.data.panels[k] = panels[k]
-        engine.sub_rows[k] = layout.sub_rows(k)
-        engine.pivoted_rows[k] = pivots[k]
-    orig_at = np.arange(engine.n, dtype=np.int64)
-    for k in range(n_blocks):
-        subs = engine.sub_rows[k]
-        pivoted = engine.pivoted_rows[k]
-        changed = pivoted != subs
-        if np.any(changed):
-            moved = orig_at[pivoted[changed]].copy()
-            orig_at[subs[changed]] = moved
-    engine.orig_at = orig_at
+    flat, pivots = arena.snapshot()
+    engine.data.adopt(flat)
+    engine.adopt_pivots(pivots)
     engine.done = set(task_list)
     # Fold the workers' LazyS+ accounting back into the parent engine.
     ls = engine.lazy_stats
@@ -925,12 +879,10 @@ class ProcPool:
                 self._teardown()
                 st = self._bind(engine, graph, mapping, _fault_hook)
             arena = st["arena"]
-            n_blocks = bp.n_blocks
             # Copy-in must complete before any GO goes out: a worker only
             # sees peer completion messages after some peer received GO,
             # so no panel is read before it holds this run's values.
-            for k in range(n_blocks):
-                arena.panels[k][...] = engine.data.panels[k]
+            arena.flat[...] = engine.data.flat
             tr = tracer if tracer is not None else Tracer(enabled=False)
             stats_by_rank: dict[int, dict] = {}
             map_label = (
@@ -963,7 +915,7 @@ class ProcPool:
                     raise
                 makespan = time.perf_counter() - t_start
                 _gather(
-                    engine, arena, n_blocks, st["task_list"], stats_by_rank
+                    engine, arena, st["task_list"], stats_by_rank
                 )
                 if engine.sanitizer is not None:
                     for s in stats_by_rank.values():

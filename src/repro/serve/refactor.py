@@ -73,12 +73,7 @@ class NumericFactorization:
             b_work = b[row_perm_inv]
             with tr.span(f"solve.{impl_used}") as s:
                 if use_block:
-                    sched = self.result.blocks.schedule
-                    s.set(
-                        n_blocks=sched.n_blocks,
-                        n_fwd_levels=sched.n_fwd_levels,
-                        n_bwd_levels=sched.n_bwd_levels,
-                    )
+                    s.set(**self.result.blocks.span_attrs())
                 x_work = self.result.solve(b_work, impl=impl_used)
             x = x_work[self.plan.col_perm]
             if self.equil is not None:

@@ -25,8 +25,8 @@ class TestConstruction:
             k = int(data.block_of_row[col])
             local = col - int(data.starts[k])
             rows = np.nonzero(dense[:, col])[0]
-            pos, present = data.positions(k, rows)
-            assert present.all()
+            pos = data.layout.locate(k, rows)
+            assert (pos >= 0).all()
             assert np.allclose(data.panels[k][pos, local], dense[rows, col])
 
     def test_rejects_pattern_only(self):
@@ -71,8 +71,7 @@ class TestQueries:
             stored.update(range(int(data.starts[b]), int(data.starts[b + 1])))
         absent = [r for r in range(data.n) if r not in stored][:3]
         if absent:
-            _, present = data.positions(k, np.array(absent))
-            assert not present.any()
+            assert (data.layout.locate(k, np.array(absent)) == -1).all()
 
     def test_sub_rows_sorted_starts_at_diag(self):
         data, _ = make_data()

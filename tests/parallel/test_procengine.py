@@ -222,8 +222,10 @@ class TestSharedArena:
         try:
             for k, panel in enumerate(arena.panels):
                 panel[...] = float(k + 1)
-            panels, _ = arena.snapshot()
-            for k, panel in enumerate(panels):
+            flat, _ = arena.snapshot()
+            # The snapshot is a flat buffer in the layout's panel layout.
+            assert flat.size == arena.layout.panel_offsets[-1]
+            for k, panel in enumerate(arena.layout.panel_views(flat)):
                 assert np.all(panel == float(k + 1))
         finally:
             arena.destroy()
